@@ -1,6 +1,8 @@
 //! Minimal command-line parsing for the experiment binaries (no external
 //! CLI crate needed for five flags).
 
+use crate::worlds::WORLDS;
+
 /// Common experiment options.
 #[derive(Debug, Clone)]
 pub struct Args {
@@ -49,7 +51,12 @@ impl Args {
                 "--seed" => args.seed = expect_num(&flag, it.next()) as u64,
                 "--datasets" => {
                     let v = it.next().unwrap_or_else(|| usage(&flag));
-                    args.datasets = Some(v.split(',').map(|s| s.trim().to_string()).collect());
+                    let names: Vec<String> = v.split(',').map(|s| s.trim().to_string()).collect();
+                    let known: Vec<&str> = WORLDS.iter().map(|&(w, _)| w).collect();
+                    if let Some(bad) = names.iter().find(|d| !known.contains(&d.as_str())) {
+                        usage(&format!("--datasets {bad} (known: {})", known.join(",")));
+                    }
+                    args.datasets = Some(names);
                 }
                 "--json" => args.json = true,
                 "--smoke" => args.smoke = true,

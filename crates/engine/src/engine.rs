@@ -18,23 +18,20 @@ use permsearch_obs::MetricsRegistry;
 
 use crate::metrics::{set_deployment_gauges, ServeMetrics};
 use crate::registry::{EngineError, MethodRegistry, Provenance};
-use crate::serve::{optional_recall, serve_batch_opts, ServeOptions, ServeOutput, ServeReport};
+use crate::serve::{serve_batch, ServeOptions, ServeOutput, ServeReport};
 use crate::shard::ShardedIndex;
 
 /// A deployed, batch-serving search engine. Object-safe.
 pub trait Engine<P>: Send + Sync {
-    /// Serve one query batch, returning the global top-`k` per query plus
-    /// batch statistics.
-    fn serve(&self, queries: &[P], k: usize) -> ServeOutput;
-
     /// Serve one query batch under [`ServeOptions`] — degraded-mode
-    /// refinement and per-query deadlines. Default-option calls are
-    /// bit-identical to [`serve`](Self::serve); the default trait impl
-    /// ignores the options entirely so existing engines stay correct
-    /// (never degraded, never cut).
-    fn serve_opts(&self, queries: &[P], k: usize, options: &ServeOptions) -> ServeOutput {
-        let _ = options;
-        self.serve(queries, k)
+    /// refinement and per-query deadlines — returning the global top-`k`
+    /// per query plus per-query outcomes and batch statistics.
+    fn serve_opts(&self, queries: &[P], k: usize, options: &ServeOptions) -> ServeOutput;
+
+    /// Serve one query batch with default options: never degraded, never
+    /// cut.
+    fn serve(&self, queries: &[P], k: usize) -> ServeOutput {
+        self.serve_opts(queries, k, &ServeOptions::default())
     }
 
     /// Registry name of the deployed method.
@@ -296,7 +293,7 @@ where
             workers: crate::serve::effective_workers(self.workers, queries.len()),
             k,
             stats: output.stats.clone(),
-            recall: optional_recall(&output, gold),
+            recall: gold.map(|g| output.recall_against(g)),
         };
         (output, report)
     }
@@ -394,12 +391,8 @@ impl<P> Engine<P> for ShardedEngine<P>
 where
     P: Send + Sync,
 {
-    fn serve(&self, queries: &[P], k: usize) -> ServeOutput {
-        self.serve_opts(queries, k, &ServeOptions::default())
-    }
-
     fn serve_opts(&self, queries: &[P], k: usize, options: &ServeOptions) -> ServeOutput {
-        serve_batch_opts(
+        serve_batch(
             &self.sharded,
             queries,
             k,

@@ -15,10 +15,13 @@
 //! * [`MethodRegistry`] — string-keyed builders (`"napp"`, `"mifile"`,
 //!   `"ppindex"`, `"brute"`, `"vptree"`, `"sw-graph"`, and `"lsh"` for
 //!   dense L2) so any paper method deploys behind one API;
-//! * [`serve_batch`] — executes a batch across a scoped worker pool and
-//!   records per-query latencies;
-//! * [`Engine`] / [`ShardedEngine`] — the object-safe serving façade,
-//!   producing [`ServeReport`]s (QPS, mean/p50/p99 latency, optional
+//! * [`serve_batch`] — the one batch-serving entry point: executes a batch
+//!   across a scoped worker pool under [`ServeOptions`] (degraded mode,
+//!   per-query deadlines), records per-query latencies, and optionally
+//!   publishes into [`ServeMetrics`];
+//! * [`Engine`] / [`ShardedEngine`] — the object-safe serving façade
+//!   (implementors provide `serve_opts`; `serve` is its default-options
+//!   form), producing [`ServeReport`]s (QPS, mean/p50/p99 latency, optional
 //!   recall) for dashboards and the `serve_throughput` harness.
 //!
 //! ```
@@ -58,8 +61,8 @@ pub use registry::{
     MutableBuilder, Provenance, SnapshotLoader, SnapshotSaver,
 };
 pub use serve::{
-    effective_workers, percentile, serve_batch, serve_batch_observed, serve_batch_opts,
-    QueryOutcome, ServeOptions, ServeOutput, ServeReport, ServeStats,
+    effective_workers, percentile, serve_batch, QueryOutcome, ServeOptions, ServeOutput,
+    ServeReport, ServeStats,
 };
 pub use shard::ShardedIndex;
 

@@ -10,11 +10,12 @@
 //! ([`ServeStats`]) is re-derived from the merged histogram and reports
 //! throughput (QPS) plus mean/p50/p99/p999 latency, and [`ServeReport`]
 //! adds deployment metadata and optional recall against a [`GoldStandard`]
-//! in a serializable, JSON-emitting record.
+//! in a JSON-emitting record.
 //!
-//! [`serve_batch_observed`] additionally publishes into an attached
-//! [`ServeMetrics`] handle bundle: cumulative query/latency families plus
-//! the 1-in-`N` sampled per-query stage traces.
+//! With an attached [`ServeMetrics`] handle bundle, [`serve_batch`] also
+//! publishes cumulative query/latency families plus the 1-in-`N` sampled
+//! per-query stage traces; [`ServeOptions`] carry degraded mode and
+//! per-query deadlines.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -22,7 +23,6 @@ use std::time::Instant;
 use permsearch_core::{Neighbor, SearchIndex, SearchScratch};
 use permsearch_eval::GoldStandard;
 use permsearch_obs::{HistogramSnapshot, ShardedHistogram};
-use serde::Serialize;
 
 use crate::metrics::ServeMetrics;
 
@@ -32,7 +32,7 @@ use crate::metrics::ServeMetrics;
 pub use permsearch_obs::percentile;
 
 /// Per-batch serving statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Queries served.
     pub queries: usize,
@@ -51,25 +51,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Summarize a batch from its wall time and exact per-query latencies
-    /// (seconds). Kept for tests and offline summaries; the serving path
-    /// itself uses [`from_histogram`](Self::from_histogram).
-    pub fn from_latencies(batch_secs: f64, latencies: &mut [f64]) -> Self {
-        if latencies.is_empty() {
-            return Self::zeroed(batch_secs);
-        }
-        latencies.sort_unstable_by(f64::total_cmp);
-        Self {
-            queries: latencies.len(),
-            batch_secs,
-            qps: Self::qps_of(latencies.len(), batch_secs),
-            mean_latency_secs: permsearch_obs::mean(latencies),
-            p50_latency_secs: percentile(latencies, 0.50),
-            p99_latency_secs: percentile(latencies, 0.99),
-            p999_latency_secs: percentile(latencies, 0.999),
-        }
-    }
-
     /// Summarize a batch from the merged per-worker latency histogram.
     /// The mean is exact (true sum over true count); the percentiles carry
     /// the histogram's bounded relative error
@@ -147,13 +128,6 @@ pub struct ServeOptions {
     pub deadlines: Vec<Option<Instant>>,
 }
 
-impl ServeOptions {
-    /// Whether these options can change anything about the served batch.
-    pub fn is_noop(&self) -> bool {
-        !self.degraded && self.deadlines.iter().all(|d| d.is_none())
-    }
-}
-
 /// Results plus statistics for one served batch.
 #[derive(Debug, Clone)]
 pub struct ServeOutput {
@@ -180,56 +154,29 @@ impl ServeOutput {
     }
 }
 
-/// Serve `queries` against `index` with `workers` threads, collecting the
-/// top-`k` per query and per-query latencies.
-///
-/// `workers == 1` runs inline on the calling thread (no pool overhead), so
-/// single-worker numbers are an honest baseline for scaling measurements.
 /// Worker threads actually used for a batch: at least one, and never more
 /// than there are queries to hand out.
 pub fn effective_workers(requested: usize, batch_len: usize) -> usize {
     requested.max(1).min(batch_len.max(1))
 }
 
-pub fn serve_batch<P, I>(index: &I, queries: &[P], k: usize, workers: usize) -> ServeOutput
-where
-    P: Sync,
-    I: SearchIndex<P> + Sync + ?Sized,
-{
-    serve_batch_observed(index, queries, k, workers, None)
-}
-
-/// [`serve_batch`] with optional metric publication: when `metrics` is
-/// supplied, every query lands in the registry's cumulative latency
-/// histogram and query counter, batches are counted, and 1-in-`N` queries
-/// run with an armed stage trace that is harvested into the per-stage
-/// counters. The off-sample tracing cost is one branch per query.
-pub fn serve_batch_observed<P, I>(
-    index: &I,
-    queries: &[P],
-    k: usize,
-    workers: usize,
-    metrics: Option<&ServeMetrics>,
-) -> ServeOutput
-where
-    P: Sync,
-    I: SearchIndex<P> + Sync + ?Sized,
-{
-    serve_batch_opts(
-        index,
-        queries,
-        k,
-        workers,
-        metrics,
-        &ServeOptions::default(),
-    )
-}
-
-/// [`serve_batch_observed`] with per-batch [`ServeOptions`]: degraded-mode
-/// refinement and per-query deadlines. Per-query work additionally runs
-/// under `catch_unwind`, so a panic inside one search poisons one answer
-/// (empty result, `failed` outcome) instead of the worker pool.
-pub fn serve_batch_opts<P, I>(
+/// Serve `queries` against `index` with `workers` threads, collecting the
+/// top-`k` per query and per-query latencies.
+///
+/// `workers == 1` runs inline on the calling thread (no pool overhead), so
+/// single-worker numbers are an honest baseline for scaling measurements.
+///
+/// When `metrics` is supplied, every query lands in the registry's
+/// cumulative latency histogram and query counter, batches are counted,
+/// and 1-in-`N` queries run with an armed stage trace that is harvested
+/// into the per-stage counters. The off-sample tracing cost is one branch
+/// per query.
+///
+/// `options` carry degraded-mode refinement and per-query deadlines;
+/// [`ServeOptions::default`] serves every query in full. Per-query work
+/// runs under `catch_unwind`, so a panic inside one search poisons one
+/// answer (empty result, `failed` outcome) instead of the worker pool.
+pub fn serve_batch<P, I>(
     index: &I,
     queries: &[P],
     k: usize,
@@ -257,12 +204,17 @@ where
             k,
             &mut results,
             &mut outcomes,
-            Slice::new(0, 0, &hist, metrics),
+            Slice {
+                worker: 0,
+                offset: 0,
+                hist: &hist,
+                metrics,
+            },
             options,
         );
     } else {
         let chunk = nq.div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (w, ((qs, rs), os)) in queries
                 .chunks(chunk)
                 .zip(results.chunks_mut(chunk))
@@ -270,20 +222,24 @@ where
                 .enumerate()
             {
                 let hist = &hist;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     serve_slice(
                         index,
                         qs,
                         k,
                         rs,
                         os,
-                        Slice::new(w, w * chunk, hist, metrics),
+                        Slice {
+                            worker: w,
+                            offset: w * chunk,
+                            hist,
+                            metrics,
+                        },
                         options,
                     )
                 });
             }
-        })
-        .expect("serving worker panicked");
+        });
     }
     let batch_secs = wall.elapsed().as_secs_f64();
     if let Some(m) = metrics {
@@ -305,22 +261,6 @@ struct Slice<'a> {
     offset: usize,
     hist: &'a ShardedHistogram,
     metrics: Option<&'a ServeMetrics>,
-}
-
-impl<'a> Slice<'a> {
-    fn new(
-        worker: usize,
-        offset: usize,
-        hist: &'a ShardedHistogram,
-        metrics: Option<&'a ServeMetrics>,
-    ) -> Self {
-        Self {
-            worker,
-            offset,
-            hist,
-            metrics,
-        }
-    }
 }
 
 fn serve_slice<P, I>(
@@ -381,9 +321,9 @@ fn serve_slice<P, I>(
 }
 
 /// One serving run's record: deployment metadata, throughput, latency and
-/// (when gold answers were supplied) recall. Serializable; `to_json` emits
-/// it without external dependencies, matching the harness convention.
-#[derive(Debug, Clone, Serialize)]
+/// (when gold answers were supplied) recall. `to_json` emits it without
+/// external dependencies, matching the harness convention.
+#[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Registry method name deployed on every shard.
     pub method: String,
@@ -446,12 +386,6 @@ impl ServeReport {
     }
 }
 
-/// Shared helper: recall of served results against gold, as an `Option`
-/// so reports can carry "not measured".
-pub(crate) fn optional_recall(output: &ServeOutput, gold: Option<&GoldStandard>) -> Option<f64> {
-    gold.map(|g| output.recall_against(g))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,9 +405,10 @@ mod tests {
     fn results_identical_across_worker_counts() {
         let (data, queries) = line_world(200);
         let idx = ExhaustiveSearch::new(data, L2);
-        let one = serve_batch(&idx, &queries, 5, 1);
+        let opts = ServeOptions::default();
+        let one = serve_batch(&idx, &queries, 5, 1, None, &opts);
         for w in [2, 3, 8, 64] {
-            let many = serve_batch(&idx, &queries, 5, w);
+            let many = serve_batch(&idx, &queries, 5, w, None, &opts);
             assert_eq!(one.results, many.results, "workers={w}");
         }
         assert_eq!(one.stats.queries, 40);
@@ -484,12 +419,6 @@ mod tests {
 
     #[test]
     fn empty_latencies_summarize_to_zero() {
-        let stats = ServeStats::from_latencies(1.0, &mut []);
-        assert_eq!(stats.queries, 0);
-        assert_eq!(stats.qps, 0.0);
-        assert_eq!(stats.mean_latency_secs, 0.0);
-        assert_eq!(stats.p50_latency_secs, 0.0);
-        assert_eq!(stats.p999_latency_secs, 0.0);
         let from_hist =
             ServeStats::from_histogram(1.0, &permsearch_obs::LatencyHistogram::new().snapshot());
         assert_eq!(from_hist.queries, 0);
@@ -530,8 +459,9 @@ mod tests {
         let idx = ExhaustiveSearch::new(data, L2);
         let registry = permsearch_obs::MetricsRegistry::new();
         let metrics = crate::metrics::ServeMetrics::register(&registry, "brute-force", 2, 4);
-        let plain = serve_batch(&idx, &queries, 5, 2);
-        let observed = serve_batch_observed(&idx, &queries, 5, 2, Some(&metrics));
+        let opts = ServeOptions::default();
+        let plain = serve_batch(&idx, &queries, 5, 2, None, &opts);
+        let observed = serve_batch(&idx, &queries, 5, 2, Some(&metrics), &opts);
         assert_eq!(plain.results, observed.results);
         assert_eq!(metrics.queries_total.get(), 40);
         assert_eq!(metrics.batches_total.get(), 1);
@@ -559,7 +489,15 @@ mod tests {
 
     #[test]
     fn report_json_is_well_formed() {
-        let stats = ServeStats::from_latencies(0.5, &mut [0.1, 0.2, 0.3]);
+        let stats = ServeStats {
+            queries: 3,
+            batch_secs: 0.5,
+            qps: 6.0,
+            mean_latency_secs: 0.2,
+            p50_latency_secs: 0.2,
+            p99_latency_secs: 0.3,
+            p999_latency_secs: 0.3,
+        };
         let report = ServeReport {
             method: "napp".into(),
             num_points: 100,
@@ -583,9 +521,15 @@ mod tests {
 
     #[test]
     fn report_json_nulls_non_finite_floats() {
-        let mut stats = ServeStats::from_latencies(0.0, &mut [0.1]);
-        assert_eq!(stats.qps, f64::INFINITY);
-        stats.mean_latency_secs = f64::NAN;
+        let stats = ServeStats {
+            queries: 1,
+            batch_secs: 0.0,
+            qps: f64::INFINITY,
+            mean_latency_secs: f64::NAN,
+            p50_latency_secs: 0.1,
+            p99_latency_secs: 0.1,
+            p999_latency_secs: 0.1,
+        };
         let report = ServeReport {
             method: "m".into(),
             num_points: 1,
@@ -605,14 +549,21 @@ mod tests {
     fn empty_batch_is_served() {
         let (data, _) = line_world(10);
         let idx = ExhaustiveSearch::new(data, L2);
-        let out = serve_batch(&idx, &[] as &[Vec<f32>], 3, 4);
+        let out = serve_batch(
+            &idx,
+            &[] as &[Vec<f32>],
+            3,
+            4,
+            None,
+            &ServeOptions::default(),
+        );
         assert!(out.results.is_empty());
         assert_eq!(out.stats.queries, 0);
     }
 
     /// Zero-query batches must summarize to honest zeros — not NaN
-    /// percentiles or an infinite 0/0 QPS — through both stat
-    /// constructors and the full serving path.
+    /// percentiles or an infinite 0/0 QPS — through the histogram
+    /// constructor and the full serving path.
     #[test]
     fn empty_batch_stats_are_zeroed() {
         let finite_zeros = |stats: &ServeStats| {
@@ -625,15 +576,19 @@ mod tests {
             assert!(stats.batch_secs.is_finite());
         };
 
-        finite_zeros(&ServeStats::from_latencies(0.0, &mut []));
-        finite_zeros(&ServeStats::from_latencies(0.25, &mut []));
-
         let hist = ShardedHistogram::new(2);
         finite_zeros(&ServeStats::from_histogram(0.0, &hist.snapshot()));
 
         let (data, _) = line_world(10);
         let idx = ExhaustiveSearch::new(data, L2);
-        let out = serve_batch(&idx, &[] as &[Vec<f32>], 3, 4);
+        let out = serve_batch(
+            &idx,
+            &[] as &[Vec<f32>],
+            3,
+            4,
+            None,
+            &ServeOptions::default(),
+        );
         finite_zeros(&out.stats);
         // The JSON report path must survive the same batch (no bare NaN
         // tokens, which are invalid JSON).

@@ -92,19 +92,18 @@ where
         // oversubscribe the machine with concurrent index builds.
         let wave = std::thread::available_parallelism().map_or(1, |c| c.get());
         for (wid, slot_wave) in slots.chunks_mut(wave).enumerate() {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (off, slot) in slot_wave.iter_mut().enumerate() {
                     let build_shard = &build_shard;
                     let data = &data;
                     let sid = wid * wave + off;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let start = sid * chunk;
                         let shard_data = data.subrange(start, chunk.min(n - start));
                         *slot = Some(build_shard(sid, Arc::new(shard_data)));
                     });
                 }
-            })
-            .expect("shard build worker panicked");
+            });
         }
         let mut shards = Vec::with_capacity(slots.len());
         for (sid, slot) in slots.into_iter().enumerate() {
@@ -136,18 +135,10 @@ impl<P> ShardedIndex<P> {
 }
 
 impl<P> SearchIndex<P> for ShardedIndex<P> {
-    /// Per-shard top-k searches followed by the k-way heap merge.
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
-    /// Scratch pipeline: each shard's `search_into` runs with the shared
-    /// scratch writing into a per-shard list reused across queries, and the
-    /// reduce step is the scratch-backed k-way merge — the same candidate
-    /// order as the allocating path, so the global `(distance, id)` tie
-    /// behavior is unchanged.
+    /// Per-shard top-k searches followed by the k-way heap merge: each
+    /// shard's `search_into` runs with the shared scratch writing into a
+    /// per-shard list reused across queries, and the reduce step is the
+    /// scratch-backed k-way merge under the global `(distance, id)` order.
     fn search_into(
         &self,
         query: &P,

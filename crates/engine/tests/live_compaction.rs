@@ -58,12 +58,12 @@ fn queries_stay_consistent_through_background_compactions() {
     let served = AtomicUsize::new(0);
     let batch = queries(12);
     let mut worst_p99 = 0.0f64;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Writer: churn until the compactor has swapped generations at
         // least TARGET_GENERATIONS times (10s safety deadline).
         let writer_engine = Arc::clone(&engine);
         let writer_done = &done;
-        s.spawn(move |_| {
+        s.spawn(move || {
             let deadline = Instant::now() + Duration::from_secs(10);
             let mut i = 0u32;
             while writer_engine.generation() < TARGET_GENERATIONS && Instant::now() < deadline {
@@ -88,7 +88,7 @@ fn queries_stay_consistent_through_background_compactions() {
             let qb = batch.clone();
             let qdone = &done;
             let qserved = &served;
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let mut max_p99 = 0.0f64;
                 while !qdone.load(Ordering::SeqCst) {
                     let out = qe.serve(&qb, K);
@@ -121,8 +121,7 @@ fn queries_stay_consistent_through_background_compactions() {
         for h in handles {
             worst_p99 = worst_p99.max(h.join().expect("query thread"));
         }
-    })
-    .expect("scope");
+    });
     compactor.stop();
 
     assert!(

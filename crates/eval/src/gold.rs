@@ -69,13 +69,12 @@ where
         gold_slice(&exact, queries, k, &mut neighbors);
     } else {
         let chunk = nq.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (qs, ns) in queries.chunks(chunk).zip(neighbors.chunks_mut(chunk)) {
                 let exact = &exact;
-                scope.spawn(move |_| gold_slice(exact, qs, k, ns));
+                scope.spawn(move || gold_slice(exact, qs, k, ns));
             }
-        })
-        .expect("gold worker panicked");
+        });
     }
     // Baseline calibration: a bounded, evenly spaced sample re-scanned
     // single-threaded (answers discarded; only the timing is kept). This

@@ -1,13 +1,11 @@
 //! Aligned-text tables for the experiment binaries.
 //!
 //! The harness prints the same rows the paper's tables report; this module
-//! keeps the formatting in one place (and optionally serializes results as
+//! keeps the formatting in one place (and optionally emits results as
 //! JSON lines for downstream plotting).
 
-use serde::Serialize;
-
 /// A simple column-aligned text table.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,

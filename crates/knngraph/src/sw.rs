@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
-use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, Space};
+use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, SearchScratch, Space};
 
-use crate::search::greedy_search;
+use crate::search::greedy_search_with;
 
 /// Small-World graph construction/search parameters.
 #[derive(Debug, Clone, Copy)]
@@ -128,9 +128,9 @@ where
                 let data = &data;
                 let space = &space;
                 let chunk = ids.len().div_ceil(threads);
-                crossbeam::thread::scope(|s| {
+                std::thread::scope(|s| {
                     for (slot, id_chunk) in found.chunks_mut(chunk).zip(ids.chunks(chunk)) {
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             for (out, &id) in slot.iter_mut().zip(id_chunk) {
                                 *out = partial_search(
                                     data,
@@ -146,8 +146,7 @@ where
                             }
                         });
                     }
-                })
-                .expect("SW parallel construction worker panicked");
+                });
             }
             for (&id, nbs) in ids.iter().zip(&found) {
                 for nb in nbs {
@@ -315,27 +314,14 @@ where
     P: Point + Send + Sync,
     S: Space<P::Ref>,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        greedy_search(
-            &self.data,
-            &self.space,
-            &self.adjacency,
-            query.point_ref(),
-            k,
-            self.params.search_attempts,
-            self.params.search_ef,
-            self.seed ^ 0x5157_0000,
-        )
-    }
-
     fn search_into(
         &self,
         query: &P,
         k: usize,
-        scratch: &mut permsearch_core::SearchScratch,
+        scratch: &mut SearchScratch,
         out: &mut Vec<Neighbor>,
     ) {
-        crate::search::greedy_search_with(
+        greedy_search_with(
             &self.data,
             &self.space,
             &self.adjacency,

@@ -6,7 +6,7 @@
 //! fastest filtering kernel, and the overall winner on the DNA dataset
 //! (Figure 4f).
 
-use crossbeam::thread;
+use std::thread;
 
 use permsearch_core::{BitVector, Dataset, Point, Space};
 
@@ -62,7 +62,7 @@ impl BinarizedPermutations {
             thread::scope(|s| {
                 for (t, out) in words.chunks_mut(chunk * wpp).enumerate() {
                     let start = (t * chunk) as u32;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for (row, id) in out.chunks_mut(wpp).zip(start..) {
                             let ranks = compute_ranks(space, pivots, data.get(id));
                             for (i, &r) in ranks.iter().enumerate() {
@@ -73,8 +73,7 @@ impl BinarizedPermutations {
                         }
                     });
                 }
-            })
-            .expect("binarization worker panicked");
+            });
         }
         Self {
             words_per_point: wpp,

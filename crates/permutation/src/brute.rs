@@ -93,17 +93,10 @@ where
     P: Point + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: the query permutation is induced with batched
     /// pivot scoring, the filtering stage is one flat scan over the
     /// contiguous permutation table, and refinement scores the γ survivors
-    /// in batched blocks — all through reused buffers, with results
-    /// identical to the allocating path.
+    /// in batched blocks — all through reused buffers.
     fn search_into(
         &self,
         query: &P,
@@ -141,28 +134,11 @@ where
         k_smallest(&mut scratch.scored_u64, gamma, |a, b| a.cmp(b));
         scratch.trace.finish(Stage::Filter, t0);
         // Refinement with the original distance.
-        let SearchScratch {
-            scored_u64,
-            ids,
-            dists,
-            heap,
-            trace,
-            budget,
-            ..
-        } = scratch;
-        refine_into(
-            &self.data,
-            &self.space,
-            query.point_ref(),
-            scored_u64[..gamma].iter().map(|&(_, id)| id),
-            k,
-            ids,
-            dists,
-            heap,
-            out,
-            trace,
-            budget,
-        );
+        scratch.ids.clear();
+        scratch
+            .ids
+            .extend(scratch.scored_u64[..gamma].iter().map(|&(_, id)| id));
+        refine_into(&self.data, &self.space, query.point_ref(), k, scratch, out);
     }
 
     fn len(&self) -> usize {
@@ -222,15 +198,9 @@ where
     P: Point + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: batched query-permutation induction, one flat
     /// XOR+popcount pass over the contiguous word table, batched
-    /// refinement. Identical results to the allocating path.
+    /// refinement.
     fn search_into(
         &self,
         query: &P,
@@ -262,28 +232,11 @@ where
         let gamma = self.candidate_budget().max(k).min(n);
         k_smallest(&mut scratch.scored_u32, gamma, |a, b| a.cmp(b));
         scratch.trace.finish(Stage::Filter, t0);
-        let SearchScratch {
-            scored_u32,
-            ids,
-            dists,
-            heap,
-            trace,
-            budget,
-            ..
-        } = scratch;
-        refine_into(
-            &self.data,
-            &self.space,
-            query.point_ref(),
-            scored_u32[..gamma].iter().map(|&(_, id)| id),
-            k,
-            ids,
-            dists,
-            heap,
-            out,
-            trace,
-            budget,
-        );
+        scratch.ids.clear();
+        scratch
+            .ids
+            .extend(scratch.scored_u32[..gamma].iter().map(|&(_, id)| id));
+        refine_into(&self.data, &self.space, query.point_ref(), k, scratch, out);
     }
 
     fn len(&self) -> usize {

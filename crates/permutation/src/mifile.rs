@@ -17,8 +17,7 @@
 //! search thanks to the position ordering.
 
 use std::sync::Arc;
-
-use crossbeam::thread;
+use std::thread;
 
 use permsearch_core::incsort::k_smallest;
 use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, SearchScratch, Space, Stage};
@@ -103,7 +102,7 @@ where
             thread::scope(|s| {
                 for (t, slot) in rows.chunks_mut(chunk).enumerate() {
                     let start = (t * chunk) as u32;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for (slot, id) in slot.iter_mut().zip(start..) {
                             let ranks = compute_ranks(sp, pv, data_ref.get(id));
                             let mut entry = Vec::with_capacity(mi);
@@ -116,8 +115,7 @@ where
                         }
                     });
                 }
-            })
-            .expect("MI-file indexing worker panicked");
+            });
         }
 
         let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); params.num_pivots];
@@ -157,16 +155,10 @@ where
     P: Point + Clone + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: the accumulator array is re-initialized in place
     /// (same pessimistic `ms · m` start), the touched-id and scored
     /// buffers are reused, query-permutation induction and refinement are
-    /// batched. Identical results to the allocating path.
+    /// batched.
     fn search_into(
         &self,
         query: &P,
@@ -241,28 +233,11 @@ where
         scored.extend(touched.iter().map(|&id| (acc[id as usize], id)));
         k_smallest(scored, gamma, |a, b| a.cmp(b));
         scratch.trace.finish(Stage::Filter, t0);
-        let SearchScratch {
-            scored_u32,
-            ids,
-            dists,
-            heap,
-            trace,
-            budget,
-            ..
-        } = scratch;
-        refine_into(
-            &self.data,
-            &self.space,
-            query.point_ref(),
-            scored_u32[..gamma].iter().map(|&(_, id)| id),
-            k,
-            ids,
-            dists,
-            heap,
-            out,
-            trace,
-            budget,
-        );
+        scratch.ids.clear();
+        scratch
+            .ids
+            .extend(scratch.scored_u32[..gamma].iter().map(|&(_, id)| id));
+        refine_into(&self.data, &self.space, query.point_ref(), k, scratch, out);
     }
 
     fn len(&self) -> usize {

@@ -16,8 +16,7 @@
 //! keeps the best `max_candidates`.
 
 use std::sync::Arc;
-
-use crossbeam::thread;
+use std::thread;
 
 use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, SearchScratch, Space, Stage};
 
@@ -119,14 +118,13 @@ where
         thread::scope(|s| {
             for (t, slot) in out.chunks_mut(chunk).enumerate() {
                 let start = (t * chunk) as u32;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (slot, id) in slot.iter_mut().zip(start..) {
                         *slot = closest_pivot_ids(space, pivots, data.get(id), mi);
                     }
                 });
             }
-        })
-        .expect("NAPP indexing worker panicked");
+        });
         out
     }
 
@@ -168,18 +166,11 @@ where
     P: Point + Clone + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: the ScanCount counter array is reused (its
     /// re-zeroing *is* the paper's per-query memset, now over retained
     /// capacity instead of a fresh allocation), candidate pairs collect
     /// into a reused buffer — counts widened from `u8` to `u32`, which
     /// preserves the sort order exactly — and refinement is batched.
-    /// Identical results to the allocating path.
     fn search_into(
         &self,
         query: &P,
@@ -238,28 +229,11 @@ where
             candidates.truncate(cap.max(k));
         }
         scratch.trace.finish(Stage::Filter, t0);
-        let SearchScratch {
-            scored_u32,
-            ids,
-            dists,
-            heap,
-            trace,
-            budget,
-            ..
-        } = scratch;
-        refine_into(
-            &self.data,
-            &self.space,
-            query.point_ref(),
-            scored_u32.iter().map(|&(_, id)| id),
-            k,
-            ids,
-            dists,
-            heap,
-            out,
-            trace,
-            budget,
-        );
+        scratch.ids.clear();
+        scratch
+            .ids
+            .extend(scratch.scored_u32.iter().map(|&(_, id)| id));
+        refine_into(&self.data, &self.space, query.point_ref(), k, scratch, out);
     }
 
     fn len(&self) -> usize {

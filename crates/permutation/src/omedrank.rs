@@ -10,13 +10,12 @@
 //! exact aggregation is NP-complete, as the paper notes).
 
 use std::sync::Arc;
+use std::thread;
 
-use crossbeam::thread;
-
-use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, Space};
+use permsearch_core::{Dataset, Neighbor, Point, SearchIndex, SearchScratch, Space};
 
 use crate::pivots::select_pivots;
-use crate::refine::refine;
+use crate::refine::refine_into;
 
 /// OMEDRANK tuning parameters.
 #[derive(Debug, Clone)]
@@ -75,7 +74,7 @@ where
         thread::scope(|s| {
             for (t, slot) in lists.chunks_mut(chunk).enumerate() {
                 let start = t * chunk;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (j, list) in slot.iter_mut().enumerate() {
                         let pivot = &pivots_ref[start + j];
                         // Data point is the left argument, pivot plays the
@@ -88,8 +87,7 @@ where
                     }
                 });
             }
-        })
-        .expect("OMEDRANK indexing worker panicked");
+        });
         Self {
             data,
             space,
@@ -110,10 +108,17 @@ where
     P: Point + Clone + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
+    fn search_into(
+        &self,
+        query: &P,
+        k: usize,
+        scratch: &mut SearchScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
+        out.clear();
         let n = self.data.len();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let l = self.lists.len();
         let quorum = ((l as f64 * self.params.quorum).floor() as u32 + 1).min(l as u32);
@@ -137,7 +142,8 @@ where
             .collect();
 
         let mut seen_count = vec![0u32; n];
-        let mut candidates: Vec<u32> = Vec::with_capacity(gamma);
+        let candidates = &mut scratch.ids;
+        candidates.clear();
         let mut exhausted = 0usize;
         // Round-robin expansion: each list advances its cheaper frontier.
         while candidates.len() < gamma && exhausted < l {
@@ -182,7 +188,7 @@ where
                 }
             }
         }
-        refine(&self.data, &self.space, query.point_ref(), candidates, k)
+        refine_into(&self.data, &self.space, query.point_ref(), k, scratch, out);
     }
 
     fn len(&self) -> usize {

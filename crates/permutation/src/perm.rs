@@ -14,7 +14,7 @@
 //!   paper (and Chávez et al.) find it slightly more effective, which our
 //!   `rho_vs_footrule` ablation bench confirms.
 
-use crossbeam::thread;
+use std::thread;
 
 use permsearch_core::{Dataset, Point, Space};
 
@@ -178,14 +178,13 @@ impl PermutationTable {
             thread::scope(|s| {
                 for (t, out) in ranks.chunks_mut(chunk * m).enumerate() {
                     let start = (t * chunk) as u32;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for (row, id) in out.chunks_mut(m).zip(start..) {
                             row.copy_from_slice(&compute_ranks(space, pivots, data.get(id)));
                         }
                     });
                 }
-            })
-            .expect("permutation worker panicked");
+            });
         }
         Self { m, ranks }
     }

@@ -198,17 +198,16 @@ where
     }
     let threads = threads.max(1).min(n);
     let chunk = n.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (t, slot) in out.chunks_mut(chunk).enumerate() {
             let start = (t * chunk) as u32;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (slot, id) in slot.iter_mut().zip(start..) {
                     *slot = prefix_of(space, pivots, data.get(id), l);
                 }
             });
         }
-    })
-    .expect("PP-index worker panicked");
+    });
     out
 }
 
@@ -257,16 +256,9 @@ where
     P: Point + Clone + Sync,
     S: Space<P::Ref> + Sync,
 {
-    fn search(&self, query: &P, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.search_into(query, k, &mut SearchScratch::new(), &mut out);
-        out
-    }
-
     /// Scratch pipeline: per-tree prefix induction, tree walk and candidate
     /// collection all run through reused buffers, and the deduplicated
-    /// candidate union is refined in batched blocks. Identical results to
-    /// the allocating path.
+    /// candidate union is refined in batched blocks.
     fn search_into(
         &self,
         query: &P,
@@ -288,9 +280,7 @@ where
             path,
             ids: candidates,
             touched,
-            heap,
             trace,
-            budget,
             ..
         } = scratch;
         let t0 = trace.start();
@@ -323,26 +313,13 @@ where
             {
                 path.pop();
             }
-            // `touched` doubles as the DFS stack here; refine clears it
-            // again before using it as its dedup buffer.
+            // `touched` doubles as the DFS stack here.
             tree.collect_with(*path.last().expect("root"), touched, candidates);
         }
-        candidates.sort_unstable();
-        candidates.dedup();
         trace.finish(Stage::Filter, t0);
-        refine_into(
-            &self.data,
-            &self.space,
-            query.point_ref(),
-            candidates.iter().copied(),
-            k,
-            touched,
-            dists,
-            heap,
-            out,
-            trace,
-            budget,
-        );
+        // refine_into sorts and deduplicates the union of the trees'
+        // candidates in place.
+        refine_into(&self.data, &self.space, query.point_ref(), k, scratch, out);
     }
 
     fn len(&self) -> usize {

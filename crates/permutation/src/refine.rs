@@ -1,8 +1,8 @@
 //! The refine stage shared by every filter-and-refine method.
 
 use permsearch_core::{
-    failpoints, score_ids, score_ids_quantized, Dataset, KnnHeap, Neighbor, Point, QueryBudget,
-    QueryTrace, Space, Stage,
+    failpoints, score_ids, score_ids_quantized, Dataset, Neighbor, Point, SearchScratch, Space,
+    Stage,
 };
 
 /// Oversampling factor of the SQ8 pre-filter: the quantized scan keeps
@@ -31,35 +31,21 @@ pub fn refine<P: Point, S: Space<P::Ref>>(
     candidates: impl IntoIterator<Item = u32>,
     k: usize,
 ) -> Vec<Neighbor> {
-    let mut ids = Vec::new();
-    let mut dists = Vec::new();
-    let mut heap = KnnHeap::new(k);
+    let mut scratch = SearchScratch::new();
+    scratch.ids.extend(candidates);
     let mut out = Vec::new();
-    let mut trace = QueryTrace::new();
-    let mut budget = QueryBudget::unlimited();
-    refine_into(
-        data,
-        space,
-        query,
-        candidates,
-        k,
-        &mut ids,
-        &mut dists,
-        &mut heap,
-        &mut out,
-        &mut trace,
-        &mut budget,
-    );
+    refine_into(data, space, query, k, &mut scratch, &mut out);
     out
 }
 
-/// Scratch-reusing, batched form of [`refine`]: candidates are collected
-/// into the reused `ids` buffer, sorted ascending and deduplicated, then
-/// scored in [`permsearch_core::BATCH_WIDTH`] blocks — via the gather-free
-/// [`Space::distance_block_flat`] kernels when the dataset carries a flat
-/// arena — and offered to the reused `heap` in ascending id order. The
-/// sorted top-`k` lands in `out`. Results are identical to the allocating
-/// [`refine`] (both paths sort the same way).
+/// Scratch-reusing, batched form of [`refine`]: the candidates are the
+/// ids the caller left in `scratch.ids`. They are sorted ascending and
+/// deduplicated in place, then scored in [`permsearch_core::BATCH_WIDTH`]
+/// blocks — via the gather-free [`Space::distance_block_flat`] kernels
+/// when the dataset carries a flat arena — and offered to the reused
+/// result heap in ascending id order. The sorted top-`k` lands in `out`.
+/// Results are identical to the allocating [`refine`] (both paths sort
+/// the same way).
 ///
 /// When the dataset carries an SQ8 quantized tier and the space has a
 /// quantized kernel, large candidate lists are first scanned over the
@@ -71,7 +57,7 @@ pub fn refine<P: Point, S: Space<P::Ref>>(
 /// cost more than the exact scan it saves. All buffers are reused; the
 /// pre-filter adds no steady-state allocations.
 ///
-/// The `budget` is consulted at the two stage boundaries (after the
+/// `scratch.budget` is consulted at the two stage boundaries (after the
 /// filter stage that produced the candidates, and between the quantized
 /// pre-filter and the exact re-rank); an unlimited budget costs one
 /// branch per boundary and changes nothing. Under a **degraded** budget
@@ -79,22 +65,22 @@ pub fn refine<P: Point, S: Space<P::Ref>>(
 /// re-ranks with the SQ8 distances alone (no exact pass — the answer
 /// carries approximate distances and the caller flags it degraded);
 /// without one it refines only the first `keep` deduplicated candidates.
-#[allow(clippy::too_many_arguments)]
 pub fn refine_into<P: Point, S: Space<P::Ref>>(
     data: &Dataset<P>,
     space: &S,
     query: &P::Ref,
-    candidates: impl IntoIterator<Item = u32>,
     k: usize,
-    ids: &mut Vec<u32>,
-    dists: &mut Vec<f32>,
-    heap: &mut KnnHeap,
+    scratch: &mut SearchScratch,
     out: &mut Vec<Neighbor>,
-    trace: &mut QueryTrace,
-    budget: &mut QueryBudget,
 ) {
-    ids.clear();
-    ids.extend(candidates);
+    let SearchScratch {
+        ids,
+        dists,
+        heap,
+        trace,
+        budget,
+        ..
+    } = scratch;
     // Ascending ids: near-sequential arena reads, and duplicates from
     // interleaved candidate sources are dropped before they cost a
     // distance evaluation.
@@ -250,28 +236,14 @@ mod tests {
     #[test]
     fn refine_into_reuses_buffers_identically() {
         let data = Dataset::new((0..200).map(|i| vec![i as f32]).collect::<Vec<_>>());
-        let mut ids = Vec::new();
-        let mut dists = Vec::new();
-        let mut heap = KnnHeap::new(1);
+        let mut scratch = SearchScratch::new();
         let mut out = Vec::new();
-        let mut trace = permsearch_core::QueryTrace::default();
-        let mut budget = QueryBudget::unlimited();
         for qi in 0..20 {
             let q = vec![qi as f32 * 7.3];
             let cands: Vec<u32> = (0..200u32).filter(|i| i % 3 == qi % 3).collect();
-            refine_into(
-                &data,
-                &L2,
-                &q,
-                cands.iter().copied(),
-                5,
-                &mut ids,
-                &mut dists,
-                &mut heap,
-                &mut out,
-                &mut trace,
-                &mut budget,
-            );
+            scratch.ids.clear();
+            scratch.ids.extend(cands.iter().copied());
+            refine_into(&data, &L2, &q, 5, &mut scratch, &mut out);
             let fresh = refine(&data, &L2, &q, cands.iter().copied(), 5);
             assert_eq!(out, fresh, "query {qi}");
         }

@@ -10,7 +10,8 @@ use permsearch::knngraph::{nndescent, NnDescentParams, SwGraph, SwGraphParams};
 use permsearch::lsh::{MpLsh, MpLshParams};
 use permsearch::permutation::{
     select_pivots, BruteForceBinFilter, BruteForcePermFilter, MiFile, MiFileParams, Napp,
-    NappParams, OmedRank, OmedRankParams, PermDistanceKind, PpIndex, PpIndexParams,
+    NappParams, OmedRank, OmedRankParams, PermDistanceKind, PermVpTree, PermVpTreeParams, PpIndex,
+    PpIndexParams,
 };
 use permsearch::spaces::L2;
 use permsearch::vptree::{VpTree, VpTreeParams};
@@ -151,8 +152,8 @@ fn exact_methods_agree_with_brute_force() {
 
 /// The zero-allocation pipeline contract: `search_into` with one scratch
 /// reused across every query *and every method* must return exactly what
-/// the allocating `search` returns — ids, distances, and distance-tie
-/// order included.
+/// a fresh scratch (the allocating `search`) returns — ids, distances,
+/// and distance-tie order included.
 #[test]
 fn scratch_pipeline_matches_fresh_search_across_methods() {
     use permsearch::core::SearchScratch;
@@ -216,7 +217,35 @@ fn scratch_pipeline_matches_fresh_search_across_methods() {
             0.1,
             2,
         )),
-        Box::new(BruteForceBinFilter::build(data.clone(), L2, pivots, 0.1, 2)),
+        Box::new(BruteForceBinFilter::build(
+            data.clone(),
+            L2,
+            pivots.clone(),
+            0.1,
+            2,
+        )),
+        Box::new(PermVpTree::build(
+            data.clone(),
+            L2,
+            pivots,
+            PermVpTreeParams {
+                gamma: 0.05,
+                bucket_size: 16,
+                threads: 2,
+            },
+            1,
+        )),
+        Box::new(OmedRank::build(
+            data.clone(),
+            L2,
+            OmedRankParams {
+                num_pivots: 12,
+                gamma: 0.1,
+                quorum: 0.5,
+                threads: 2,
+            },
+            1,
+        )),
         Box::new(SwGraph::build(
             data.clone(),
             L2,
