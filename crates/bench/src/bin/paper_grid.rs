@@ -6,8 +6,8 @@
 //! single-threaded QPS through the zero-allocation `search_into` serving
 //! pipeline, and the number of **distance computations per query** (counted
 //! by [`CountedSpace`] — batched kernels count one per point scored), plus
-//! the index size, the resident dataset bytes (arena + SQ8 quantized tier
-//! for dense worlds, owned points elsewhere) and the process peak RSS
+//! the index size, the resident dataset bytes (the f32 arena for dense
+//! worlds, owned points elsewhere) and the process peak RSS
 //! (`VmHWM`) at the time the cell finished. Results are written to
 //! `bench_results/BENCH_grid.json` so every later change has a perf
 //! trajectory to beat.
@@ -16,9 +16,10 @@
 //! non-zero when any cell's recall drops below its pinned floor** — the
 //! CI regression gate for kernel or scratch changes that would silently
 //! degrade quality. It also fails when the dense world's resident dataset
-//! bytes exceed the pinned post-refactor ceiling (one f32 arena plus one
-//! SQ8 tier plus slack): re-growing a nested `Vec<Vec<f32>>` mirror next
-//! to the arena — the old 2x-residency bug — trips the gate immediately.
+//! bytes exceed the pinned post-refactor ceiling (one f32 arena plus room
+//! for an SQ8 tier plus slack): re-growing a nested `Vec<Vec<f32>>` mirror
+//! next to the arena — the old 2x-residency bug — trips the gate
+//! immediately.
 //!
 //! Reading `BENCH_grid.json`: one JSON object per cell. `recall` is the
 //! quality axis; `qps` (and its inverse `query_secs`) the wall-clock axis
@@ -76,8 +77,9 @@ struct GridRow {
     query_secs: f64,
     dists_per_query: f64,
     index_bytes: usize,
-    /// Resident bytes of the indexed dataset itself: flat f32 arena plus
-    /// SQ8 quantized tier on dense worlds, owned point payloads elsewhere.
+    /// Resident bytes of the indexed dataset itself: flat f32 arena (plus
+    /// an SQ8 tier, if attached) on dense worlds, owned point payloads
+    /// elsewhere.
     dataset_bytes: usize,
     /// Process peak RSS (`VmHWM`) when the cell finished, in bytes
     /// (0 where `/proc/self/status` is unavailable).
@@ -657,11 +659,12 @@ fn main() {
     if args.smoke {
         let mut failed = false;
         // Residency gate: the dense world must hold exactly one f32 copy.
-        // The pinned post-refactor ceiling is the raw f32 payload plus the
-        // SQ8 tier (codes = raw/4, per-row norms and per-dim min/scale
-        // tables well under raw/10) plus 64 KiB of fixed slack. Re-growing
-        // a nested `Vec<Vec<f32>>` mirror beside the arena (~2x raw plus
-        // per-row Vec headers) overshoots this by most of a full copy.
+        // The pinned post-refactor ceiling is the raw f32 payload plus room
+        // for an SQ8 tier (codes = raw/4, per-row norms and per-dim
+        // min/scale tables well under raw/10; the grid attaches none) plus
+        // 64 KiB of fixed slack. Re-growing a nested `Vec<Vec<f32>>` mirror
+        // beside the arena (~2x raw plus per-row Vec headers) overshoots
+        // this by most of a full copy.
         if let Some((resident, raw)) = dense_resident {
             let ceiling = raw + raw / 4 + raw / 10 + (64 << 10);
             if resident > ceiling {

@@ -68,9 +68,8 @@ fn build<G: Generator>(
 /// Like [`build`] for dense-vector generators: the indexed points move
 /// into a contiguous [`permsearch_core::FlatVectors`] arena (the *only*
 /// dense copy — there is no nested mirror) so every batched scoring path
-/// over these worlds runs gather-free, and an SQ8 quantized tier is
-/// attached so large refine candidate lists pre-filter over 4x-smaller
-/// rows before the exact f32 re-rank.
+/// over these worlds runs gather-free. No SQ8 tier is attached: refine
+/// scores every candidate exactly from the arena and reads no tier.
 fn build_dense<G: Generator<Point = Vec<f32>>>(
     gen: &G,
     n: usize,
@@ -79,7 +78,7 @@ fn build_dense<G: Generator<Point = Vec<f32>>>(
 ) -> (Arc<Dataset<Vec<f32>>>, Vec<Vec<f32>>) {
     let all = gen.generate(n + q, seed);
     let (indexed, queries) = split_points(all, q, seed ^ 0x0005_0017);
-    (Arc::new(Dataset::new_flat(indexed).quantize()), queries)
+    (Arc::new(Dataset::new_flat(indexed)), queries)
 }
 
 /// CoPhIR-like world (282-d dense, L2; arena-backed).

@@ -17,9 +17,9 @@
 //! to the gather path.
 //!
 //! Arena-backed datasets can additionally carry an SQ8
-//! [`QuantizedVectors`](crate::QuantizedVectors) tier (see
-//! [`Dataset::quantize`]): 4x-smaller rows the filter stages scan before
-//! the exact `f32` refine.
+//! [`QuantizedVectors`] tier (see [`Dataset::quantize`]): 4x-smaller
+//! rows that snapshots persist alongside the arena. No search path reads
+//! them; every candidate is scored exactly from the `f32` arena.
 
 use std::ops::Index as StdIndex;
 use std::sync::Arc;
@@ -385,8 +385,9 @@ impl<P> Dataset<P> {
         }
     }
 
-    /// The SQ8 quantized scan tier, when one was built (see
-    /// [`Dataset::quantize`]) or restored from a snapshot.
+    /// The SQ8 quantized tier, when one was built (see
+    /// [`Dataset::quantize`]) or restored from a snapshot. Storage only:
+    /// no search or refine path reads it.
     pub fn quantized(&self) -> Option<&QuantizedView> {
         self.quant.as_ref()
     }
@@ -495,12 +496,12 @@ impl Dataset<Vec<f32>> {
         }
     }
 
-    /// Build the SQ8 quantized scan tier over an arena-backed dataset:
-    /// filter stages then scan 1-byte codes (4x fewer bytes) and the
-    /// exact refine re-ranks survivors from the `f32` arena. No-op when a
-    /// tier is already attached; panics for nested datasets (the tier
-    /// quantizes the arena, so build the arena first via
-    /// [`new_flat`](Self::new_flat) / [`into_flat`](Self::into_flat)).
+    /// Build the SQ8 quantized tier (1-byte codes, 4x fewer bytes than the
+    /// arena) over an arena-backed dataset. Snapshots persist it; no
+    /// search or refine path reads it. No-op when a tier is already
+    /// attached; panics for nested datasets (the tier quantizes the arena,
+    /// so build the arena first via [`new_flat`](Self::new_flat) /
+    /// [`into_flat`](Self::into_flat)).
     pub fn quantize(mut self) -> Self {
         if self.quant.is_none() {
             let flat = self

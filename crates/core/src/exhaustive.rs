@@ -13,8 +13,8 @@ use crate::{score_all, Dataset, Neighbor, Point, SearchIndex, SearchScratch, Spa
 
 /// Exact sequential-scan k-NN search.
 ///
-/// Always scans full-precision points — never the SQ8 tier — because it is
-/// the gold standard recall is measured against.
+/// Scans full-precision points because it is the gold standard recall is
+/// measured against.
 pub struct ExhaustiveSearch<P, S> {
     data: Arc<Dataset<P>>,
     space: S,

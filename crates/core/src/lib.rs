@@ -46,10 +46,7 @@ pub use point::Point;
 pub use quant::{QuantizedVectors, QuantizedView};
 pub use scratch::{SearchScratch, VisitedSet};
 pub use snapshot::{PointCodec, Snapshot, SnapshotError};
-pub use space::{
-    score_all, score_ids, score_ids_quantized, score_slice, CountedSpace, Space, SpaceStats,
-    BATCH_WIDTH,
-};
+pub use space::{score_all, score_ids, score_slice, CountedSpace, Space, SpaceStats, BATCH_WIDTH};
 // Tracing vocabulary, re-exported so index crates can stamp stage timings
 // without depending on `permsearch_obs` directly.
 pub use permsearch_obs::{QueryTrace, Stage, StageBreakdown, STAGES, STAGE_COUNT};

@@ -5,7 +5,7 @@
 //! datasets to keep a nested `Vec<Vec<f32>>` *alongside* the flat arena the
 //! batch kernels scan, doubling float residency. [`Point`] breaks that
 //! coupling: every point type names a borrowed form
-//! ([`Point::Ref`](Point::Ref)), and `Dataset::get` returns `&P::Ref`. For
+//! ([`Point::Ref`]), and `Dataset::get` returns `&P::Ref`. For
 //! `Vec<f32>` the borrowed form is `[f32]`, so an arena-backed dataset can
 //! answer `get` with a row view straight out of the arena — the nested
 //! mirror is gone. For every other point type the borrowed form is the type

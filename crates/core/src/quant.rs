@@ -1,22 +1,21 @@
-//! The SQ8 scalar-quantized scan tier: [`QuantizedVectors`] and the shared
+//! The SQ8 scalar-quantized tier: [`QuantizedVectors`] and the shared
 //! sub-range [`QuantizedView`].
 //!
-//! Filter stages of the dense methods do not need full `f32` precision —
-//! they only need to rank candidates well enough that the exact refine
-//! stage (which always re-scores survivors from the `f32` arena) sees the
-//! true neighbors. Quantizing each dimension to one byte with a per-dim
-//! affine map makes the scanned rows 4x smaller, so candidate scans touch
-//! a quarter of the memory (the real wall at scale — see the README's
-//! memory-layout notes).
+//! Quantizing each dimension to one byte with a per-dim affine map makes
+//! the rows 4x smaller than the `f32` arena. The tier is storage only,
+//! built by [`Dataset::quantize`](crate::Dataset::quantize) and persisted
+//! by snapshots (v3 tag 2). No search or refine path reads it: its scalar
+//! kernel scans a row about 3x slower than the exact `f32` kernel, so a
+//! quantized pre-filter costs more than the exact scan it would save.
 //!
 //! **Scheme (per-dim affine, SQ8):** for dimension `d`, over all rows,
 //! `min[d]` and `max[d]` are recorded, `scale[d] = (max[d] − min[d]) / 255`,
 //! and a value `v` encodes as `q = round((v − min[d]) / scale[d])` clamped
-//! to `0..=255` (constant dimensions get `scale = 0` and encode as 0). The
-//! asymmetric distance kernels dequantize on the fly —
-//! `v̂ = min[d] + scale[d]·q` — against the *full-precision* query, so no
-//! dequantized row buffer ever exists. Per-row dequantized L2 norms are
-//! precomputed at quantization time for the cosine kernel.
+//! to `0..=255` (constant dimensions get `scale = 0` and encode as 0). An
+//! asymmetric kernel dequantizes on the fly — `v̂ = min[d] + scale[d]·q` —
+//! against the *full-precision* query, so no dequantized row buffer ever
+//! exists. Per-row dequantized L2 norms are precomputed at quantization
+//! time.
 //!
 //! Like [`FlatAccess`](crate::FlatAccess), a [`QuantizedView`] is an `Arc`
 //! plus a row range: the sharded engine hands every shard its contiguous
@@ -34,8 +33,8 @@ pub struct QuantizedVectors {
     scales: Vec<f32>,
     /// Row-major codes, `rows * dim` bytes.
     codes: Vec<u8>,
-    /// Per-row L2 norm of the *dequantized* row (what the cosine kernel
-    /// must divide by to stay consistent with its own dot product).
+    /// Per-row L2 norm of the *dequantized* row. Part of the snapshot
+    /// tag-2 layout; no kernel reads it.
     norms: Vec<f32>,
     dim: usize,
     rows: usize,

@@ -89,11 +89,10 @@ pub trait Space<P: ?Sized>: Send + Sync {
     /// [`QuantizedView`] via
     /// [`distance_block_quantized`](Self::distance_block_quantized).
     ///
-    /// Only dense spaces whose distance decomposes over per-dimension
-    /// affine dequantization (L2, dense cosine) return `true`; consumers
-    /// must check this before calling the quantized kernel. Spaces that
-    /// return `false` simply bypass the quantized tier — correctness never
-    /// depends on it.
+    /// No space in this workspace returns `true`, and no search or refine
+    /// path consults it: every candidate is scored exactly. The hook and
+    /// its forwarders remain only so benchmark instrumentation that
+    /// wraps a space still compiles.
     fn supports_quantized(&self) -> bool {
         false
     }
@@ -102,13 +101,11 @@ pub trait Space<P: ?Sized>: Send + Sync {
     /// full-precision query `y`: `out[i]` receives an *approximate*
     /// distance of the dequantized `quant.row(ids[i])` to `y`.
     ///
-    /// Unlike the flat kernel, the quantized kernel has **no** bitwise
+    /// Unlike the flat kernel, a quantized kernel has **no** bitwise
     /// contract with [`distance`](Self::distance) — quantization is lossy
-    /// by design. It is only ever used as a pre-filter whose survivors are
-    /// re-ranked exactly from the `f32` arena, so the approximation shows
-    /// up as candidate *ordering*, never in reported distances. Callers
-    /// gate on [`supports_quantized`](Self::supports_quantized); the
-    /// default must never run.
+    /// by design. Callers gate on
+    /// [`supports_quantized`](Self::supports_quantized); the default must
+    /// never run.
     fn distance_block_quantized(&self, quant: &QuantizedView, ids: &[u32], y: &P, out: &mut [f32]) {
         let _ = (quant, ids, y, out);
         unreachable!(
@@ -307,29 +304,6 @@ pub fn score_ids<P: Point, S: Space<P::Ref> + ?Sized>(
             *slot = data.get(id);
         }
         space.distance_block(&refs[..chunk.len()], query, &mut dists[..chunk.len()]);
-        for (&id, &d) in chunk.iter().zip(dists.iter()) {
-            f(id, d);
-        }
-    }
-}
-
-/// Score the SQ8 rows named by `ids` against `query` in [`BATCH_WIDTH`]
-/// blocks, invoking `f(id, approx_dist)` in input order — the quantized
-/// companion of [`score_ids`], used by the refine pre-filter. Callers must
-/// gate on [`Space::supports_quantized`].
-pub fn score_ids_quantized<P: ?Sized, S: Space<P> + ?Sized>(
-    space: &S,
-    quant: &QuantizedView,
-    query: &P,
-    ids: &[u32],
-    dists: &mut Vec<f32>,
-    mut f: impl FnMut(u32, f32),
-) {
-    if dists.len() < BATCH_WIDTH {
-        dists.resize(BATCH_WIDTH, 0.0);
-    }
-    for chunk in ids.chunks(BATCH_WIDTH) {
-        space.distance_block_quantized(quant, chunk, query, &mut dists[..chunk.len()]);
         for (&id, &d) in chunk.iter().zip(dists.iter()) {
             f(id, d);
         }

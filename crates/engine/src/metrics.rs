@@ -22,7 +22,7 @@
 //! | `permsearch_trace_stage_nanos_total` | counter | summed stage wall nanoseconds over sampled queries |
 //! | `permsearch_trace_stage_dists_total` | counter | summed stage distance computations over sampled queries |
 //! | `permsearch_trace_candidates_total` | counter | summed candidate-list sizes over sampled queries |
-//! | `permsearch_trace_quant_engaged_total` | counter | sampled queries where the SQ8 pre-filter engaged |
+//! | `permsearch_trace_quant_engaged_total` | counter | sampled queries where the SQ8 pre-filter engaged; reads 0, since no refine path runs one |
 //! | `permsearch_queries_degraded_total` | counter | queries served in degraded mode (pressure-tightened refinement) |
 //! | `permsearch_queries_partial_total` | counter | queries cut by their deadline (partial results returned) |
 //! | `permsearch_query_panics_total` | counter | queries whose per-query work panicked (isolated; empty result returned) |
@@ -109,7 +109,7 @@ impl ServeMetrics {
             ),
             quant_engaged_total: registry.counter(
                 "permsearch_trace_quant_engaged_total",
-                "Sampled queries where the SQ8 quantized pre-filter engaged.",
+                "Sampled queries where the SQ8 pre-filter engaged (0: no refine path runs one).",
                 m,
             ),
             degraded_total: registry.counter(

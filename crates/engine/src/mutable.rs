@@ -7,9 +7,10 @@
 //! Queries see three kinds of sources, all reduced by the same k-way
 //! merge the sharded index uses:
 //!
-//! * the **base**: the immutable [`ShardedIndex`] built over the initial
-//!   dataset (arena shards, snapshots, the whole warm-start machinery) —
-//!   never rebuilt, its dead points are masked by tombstones;
+//! * the **base**: the immutable [`ShardedIndex`](crate::ShardedIndex)
+//!   built over the initial dataset (arena shards, snapshots, the whole
+//!   warm-start machinery) — never rebuilt, its dead points are masked
+//!   by tombstones;
 //! * zero or one **frozen segments**: earlier deltas sealed by
 //!   compaction and folded into one dense immutable segment;
 //! * the **active delta**: a [`MutableIndex`] where every insert lands.

@@ -104,7 +104,7 @@ impl ServeStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryOutcome {
     /// Served in degraded mode: the refinement stage traded recall for
-    /// bounded work (quant-only re-rank or tightened candidate budget).
+    /// bounded work (a tightened candidate budget; distances stay exact).
     pub degraded: bool,
     /// The query's deadline expired mid-flight; the result list covers
     /// only the stages/shards that completed in time.

@@ -4,10 +4,11 @@
 //! builds one (arbitrary, type-erased) index per shard — in parallel, one
 //! scoped thread per shard — and answers queries by searching every shard
 //! for its local top-k and reducing the per-shard lists with
-//! [`merge_sorted_topk`]. Because the partition is contiguous, the remap
-//! from shard-local ids to global ids is a constant offset per shard, and
-//! the global `(distance, id)` tie order is preserved exactly (pinned by
-//! the `shard_equivalence` property test).
+//! [`merge_sorted_topk`](permsearch_core::merge_sorted_topk). Because the
+//! partition is contiguous, the remap from shard-local ids to global ids
+//! is a constant offset per shard, and the global `(distance, id)` tie
+//! order is preserved exactly (pinned by the `shard_equivalence` property
+//! test).
 //!
 //! The sharded index is itself a [`SearchIndex`], so everything written
 //! for single indices — `eval::runner::evaluate`, the property tests, the
@@ -48,12 +49,11 @@ where
     ///
     /// Shards are cut with [`Dataset::subrange`]: for an arena-backed
     /// dense dataset every shard is a contiguous sub-range *view* of the
-    /// one parent arena (and of its SQ8 quantized block, when present) —
-    /// an `Arc` bump, not a float copy — so the gather-free scoring paths,
-    /// the quantized pre-filter, and the single-allocation float storage
-    /// all survive sharding. Only nested (non-arena) datasets clone their
-    /// slice of owned points, because the `SearchIndex` builders take
-    /// whole owned datasets.
+    /// one parent arena (and of its SQ8 block, when present) — an `Arc`
+    /// bump, not a float copy — so the gather-free scoring paths and the
+    /// single-allocation float storage both survive sharding. Only nested
+    /// (non-arena) datasets clone their slice of owned points, because the
+    /// `SearchIndex` builders take whole owned datasets.
     pub fn build<F>(data: &Arc<Dataset<P>>, num_shards: usize, build_shard: F) -> Self
     where
         F: Fn(usize, Arc<Dataset<P>>) -> BoxedSearchIndex<P> + Sync,

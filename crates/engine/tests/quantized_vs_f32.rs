@@ -1,15 +1,16 @@
 //! Quantized-tier equivalence, pinned across the registry.
 //!
-//! The SQ8 tier is a *pre-filter*, never a scoring authority: methods
-//! built over a quantized dataset may scan the 4x-smaller u8 rows to
-//! shortlist candidates, but every reported neighbor is re-ranked with
-//! the exact f32 kernels over the flat arena. Two properties follow and
-//! are pinned here for **every** registered dense method:
+//! The SQ8 tier is storage, never a scoring authority: no search or
+//! refine path reads it, and every reported neighbor is scored with the
+//! exact f32 kernels over the flat arena. Pinned here for **every**
+//! registered dense method:
 //!
 //! 1. reported distances are bitwise the full-precision `L2` distance to
-//!    the arena row (no dequantized value ever leaks into a result), and
+//!    the arena row (no dequantized value ever leaks into a result);
 //! 2. recall against exact gold does not fall below the same method
-//!    built *without* the quantized tier (minus a small seed tolerance).
+//!    built *without* the quantized tier (minus a small seed tolerance);
+//! 3. an attached tier changes no answer at all — same ids, distance
+//!    bits and distance counts, normal and degraded.
 //!
 //! Property tests extend the exactness pin to the degenerate shapes the
 //! affine scheme must survive — dim 0, dim 1, dims that are not a
@@ -20,9 +21,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use permsearch_core::{Dataset, ExhaustiveSearch, Neighbor, SearchIndex, SearchScratch};
+use permsearch_core::{
+    CountedSpace, Dataset, ExhaustiveSearch, Neighbor, SearchIndex, SearchScratch,
+};
 use permsearch_datasets::{DenseGaussianMixture, Generator};
-use permsearch_engine::dense_l2_registry;
+use permsearch_engine::{dense_l2_registry, standard_registry};
 use permsearch_permutation::refine;
 use permsearch_spaces::L2;
 
@@ -41,8 +44,7 @@ fn recall_at_k(got: &[Neighbor], truth: &[Neighbor]) -> f64 {
 
 /// Every registry method over a quantized dataset: distances bitwise
 /// f32-exact against the arena, recall no worse than the unquantized
-/// build of the same method (same seed), with a small tolerance for the
-/// few boundary candidates the pre-filter may legitimately reorder.
+/// build of the same method (same seed), with a small tolerance.
 #[test]
 fn every_registry_method_is_exact_and_meets_floors_with_quantized_tier() {
     let (points, queries) = world(500, 29);
@@ -84,6 +86,57 @@ fn every_registry_method_is_exact_and_meets_floors_with_quantized_tier() {
             recall_quant >= 0.30,
             "{name}: quantized recall collapsed to {recall_quant:.4}"
         );
+    }
+}
+
+/// An attached SQ8 tier changes no answer: every method of the standard
+/// registry, over the same points with and without the tier, returns the
+/// same ids and distance bits at the same distance cost — both normally
+/// and in degraded mode (armed per query, as `serve_batch` arms it).
+#[test]
+fn attached_sq8_tier_changes_no_answer() {
+    let (points, queries) = world(500, 29);
+    let plain = Arc::new(Dataset::new_flat(points.clone()));
+    let tiered = Arc::new(Dataset::new_flat(points).quantize());
+    let (space_plain, space_tiered) = (CountedSpace::new(L2), CountedSpace::new(L2));
+    let reg_plain = standard_registry(space_plain.clone());
+    let reg_tiered = standard_registry(space_tiered.clone());
+    let mut scratch = SearchScratch::new();
+    let (mut res_plain, mut res_tiered) = (Vec::new(), Vec::new());
+    for name in reg_plain.names() {
+        let idx_plain = reg_plain
+            .build(name, plain.clone(), 5)
+            .expect("build plain");
+        let idx_tiered = reg_tiered
+            .build(name, tiered.clone(), 5)
+            .expect("build tiered");
+        for degraded in [false, true] {
+            for (qi, q) in queries.iter().enumerate() {
+                let mut run = |idx: &dyn SearchIndex<Vec<f32>>,
+                               space: &CountedSpace<L2>,
+                               res: &mut Vec<Neighbor>| {
+                    scratch.budget.clear();
+                    scratch.budget.set_degraded(degraded);
+                    let before = space.count();
+                    idx.search_into(q, K, &mut scratch, res);
+                    space.count() - before
+                };
+                let cost_plain = run(&*idx_plain, &space_plain, &mut res_plain);
+                let cost_tiered = run(&*idx_tiered, &space_tiered, &mut res_tiered);
+                let bits = |r: &[Neighbor]| -> Vec<(u32, u32)> {
+                    r.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+                };
+                assert_eq!(
+                    bits(&res_plain),
+                    bits(&res_tiered),
+                    "{name} q{qi} degraded={degraded}: the tier changed the answer"
+                );
+                assert_eq!(
+                    cost_plain, cost_tiered,
+                    "{name} q{qi} degraded={degraded}: the tier changed the distance count"
+                );
+            }
+        }
     }
 }
 

@@ -16,9 +16,9 @@
 //!   form back (the CI scrape gate).
 //! * **Sampled per-query tracing** — [`QueryTrace`], a fixed-size record of
 //!   per-[`Stage`] wall time, distance-computation counts, candidate-list
-//!   sizes and SQ8-pre-filter engagement that lives inside every
-//!   `SearchScratch`. Tracing is enabled 1-in-N per serving worker; the
-//!   off-sample (and even the on-sample) path allocates nothing.
+//!   sizes and an SQ8 flag (no library stage sets it) that lives inside
+//!   every `SearchScratch`. Tracing is enabled 1-in-N per serving worker;
+//!   the off-sample (and even the on-sample) path allocates nothing.
 //!
 //! This crate sits *below* `permsearch_core` in the workspace graph so the
 //! core scratch/space types can embed its primitives without a cycle. It

@@ -13,7 +13,7 @@
 //! | Stage         | what it covers                                              |
 //! |---------------|-------------------------------------------------------------|
 //! | `Filter`      | candidate generation: permutation scan, inverted-file probe, tree/graph traversal, LSH bucket gather |
-//! | `QuantFilter` | the SQ8 quantized pre-filter inside filter-and-refine        |
+//! | `QuantFilter` | an SQ8 pre-filter; no library stage stamps it                |
 //! | `Refine`      | exact re-ranking of surviving candidates (for exhaustive search, the whole scan) |
 //! | `Merge`       | the sharded k-way result merge                               |
 
@@ -26,7 +26,8 @@ use std::time::Instant;
 pub enum Stage {
     /// Candidate generation (permutation/table scan, traversal, gather).
     Filter = 0,
-    /// SQ8 quantized pre-filter ahead of exact refinement.
+    /// An SQ8 pre-filter ahead of exact refinement. No library stage
+    /// stamps it; it stays so stage arrays keep their layout.
     QuantFilter = 1,
     /// Exact re-ranking (or the full scan, for exhaustive search).
     Refine = 2,
@@ -140,7 +141,8 @@ impl QueryTrace {
         }
     }
 
-    /// Note that the SQ8 quantized pre-filter engaged for this query.
+    /// Note that the SQ8 pre-filter engaged for this query. No library
+    /// stage calls this any more, so the flag stays `false`.
     #[inline]
     pub fn set_quant_engaged(&mut self) {
         if self.active {
@@ -163,7 +165,7 @@ impl QueryTrace {
         self.candidates
     }
 
-    /// Whether the quantized pre-filter engaged.
+    /// Whether the SQ8 pre-filter engaged (always `false` in the library).
     pub fn quant_engaged(&self) -> bool {
         self.quant_engaged
     }
@@ -181,7 +183,8 @@ pub struct StageBreakdown {
     pub stage_dists: [u64; STAGE_COUNT],
     /// Summed candidate-list sizes.
     pub candidates: u64,
-    /// How many sampled queries engaged the SQ8 pre-filter.
+    /// How many sampled queries engaged the SQ8 pre-filter (0: no library
+    /// stage runs one).
     pub quant_engaged: u64,
 }
 

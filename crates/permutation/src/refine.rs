@@ -1,17 +1,17 @@
 //! The refine stage shared by every filter-and-refine method.
 
 use permsearch_core::{
-    failpoints, score_ids, score_ids_quantized, Dataset, Neighbor, Point, SearchScratch, Space,
-    Stage,
+    failpoints, score_ids, Dataset, Neighbor, Point, SearchScratch, Space, Stage,
 };
 
-/// Oversampling factor of the SQ8 pre-filter: the quantized scan keeps
-/// `k * QUANT_OVERSAMPLE + QUANT_FLOOR` candidates for exact re-ranking.
-const QUANT_OVERSAMPLE: usize = 4;
+/// Oversampling factor of the degraded candidate budget: a degraded query
+/// refines only the first `k * DEGRADED_OVERSAMPLE + DEGRADED_FLOOR`
+/// deduplicated candidates.
+const DEGRADED_OVERSAMPLE: usize = 4;
 
-/// Additive floor of the SQ8 pre-filter survivor count, so small `k`
-/// still re-ranks a healthy pool.
-const QUANT_FLOOR: usize = 32;
+/// Additive floor of the degraded candidate budget, so small `k` still
+/// refines a healthy pool.
+const DEGRADED_FLOOR: usize = 32;
 
 /// Compare each candidate id to the query with the original distance and
 /// return the best `k`, sorted by increasing distance.
@@ -40,31 +40,23 @@ pub fn refine<P: Point, S: Space<P::Ref>>(
 
 /// Scratch-reusing, batched form of [`refine`]: the candidates are the
 /// ids the caller left in `scratch.ids`. They are sorted ascending and
-/// deduplicated in place, then scored in [`permsearch_core::BATCH_WIDTH`]
-/// blocks — via the gather-free [`Space::distance_block_flat`] kernels
-/// when the dataset carries a flat arena — and offered to the reused
-/// result heap in ascending id order. The sorted top-`k` lands in `out`.
-/// Results are identical to the allocating [`refine`] (both paths sort
-/// the same way).
+/// deduplicated in place, then each is scored exactly once in
+/// [`permsearch_core::BATCH_WIDTH`] blocks — via the gather-free
+/// [`Space::distance_block_flat`] kernels when the dataset carries a flat
+/// arena — and offered to the reused result heap in ascending id order.
+/// The sorted top-`k` lands in `out`, with exact distances. Results are
+/// identical to the allocating [`refine`] (both paths sort the same way).
 ///
-/// When the dataset carries an SQ8 quantized tier and the space has a
-/// quantized kernel, large candidate lists are first scanned over the
-/// 4x-smaller quantized rows; only the best `k * QUANT_OVERSAMPLE +
-/// QUANT_FLOOR` survivors are re-ranked with the exact f32 kernels, so the
-/// reported ids and distances still come from full-precision arithmetic.
-/// Candidate lists below **twice** the survivor count skip the pre-filter
-/// entirely: scanning the quantized rows only to keep most of them would
-/// cost more than the exact scan it saves. All buffers are reused; the
-/// pre-filter adds no steady-state allocations.
+/// A dataset's SQ8 tier, if it carries one, is not read here: every
+/// candidate is scored with the full-precision kernels, so a tiered
+/// dataset answers exactly as the same data without its tier.
 ///
-/// `scratch.budget` is consulted at the two stage boundaries (after the
-/// filter stage that produced the candidates, and between the quantized
-/// pre-filter and the exact re-rank); an unlimited budget costs one
-/// branch per boundary and changes nothing. Under a **degraded** budget
-/// the stage trades recall for bounded work: with a quantized tier it
-/// re-ranks with the SQ8 distances alone (no exact pass — the answer
-/// carries approximate distances and the caller flags it degraded);
-/// without one it refines only the first `keep` deduplicated candidates.
+/// `scratch.budget` is consulted at two boundaries: once the candidates
+/// are collected, and again just before scoring. An unlimited budget
+/// costs one branch per boundary and changes nothing; an expired one
+/// returns an empty answer. Under a **degraded** budget the stage trades
+/// recall for bounded work: it refines only the first `k *
+/// DEGRADED_OVERSAMPLE + DEGRADED_FLOOR` deduplicated candidates.
 pub fn refine_into<P: Point, S: Space<P::Ref>>(
     data: &Dataset<P>,
     space: &S,
@@ -87,62 +79,24 @@ pub fn refine_into<P: Point, S: Space<P::Ref>>(
     ids.sort_unstable();
     ids.dedup();
     trace.add_candidates(ids.len());
-    // Boundary "filter -> quant_filter": the candidates are collected; an
+    // Boundary "filter -> refine": the candidates are collected; an
     // expired query stops before paying for any scoring.
     if !budget.checkpoint() {
         out.clear();
         return;
     }
-    let keep = k * QUANT_OVERSAMPLE + QUANT_FLOOR;
-    let degraded = budget.is_degraded();
-    let mut prefiltered = false;
-    if let Some(quant) = data.quantized() {
-        // `2 * keep`: the pre-filter pays for itself only when it halves
-        // (at least) the exact-scan volume. Degraded queries always take
-        // the quantized scan — it is strictly cheaper than the exact one
-        // and its output is the whole answer.
-        if space.supports_quantized() && (degraded || ids.len() > 2 * keep) {
-            // Quantized pre-filter: keep the best under the SQ8
-            // approximation (the heap and `out` double as the selection
-            // scratch), then fall through to the exact re-rank below.
-            let t0 = trace.start();
-            trace.set_quant_engaged();
-            trace.add_dists(Stage::QuantFilter, ids.len() as u64);
-            heap.reset(if degraded { k } else { keep });
-            score_ids_quantized(space, quant, query, ids, dists, |id, d| {
-                heap.push(id, d);
-            });
-            heap.drain_sorted_into(out);
-            trace.finish(Stage::QuantFilter, t0);
-            if degraded {
-                // Quant-only re-rank: under pressure the SQ8 distances
-                // are the answer. No exact pass.
-                return;
-            }
-            ids.clear();
-            ids.extend(out.iter().map(|n| n.id));
-            ids.sort_unstable();
-            prefiltered = true;
-        }
-    }
-    if degraded && ids.len() > keep {
-        // No quantized tier to degrade onto: tightened candidate budget —
-        // refine only the first `keep` ids of the deduplicated ascending
-        // list. Deterministic and bounded; recall traded for latency.
-        ids.truncate(keep);
+    if budget.is_degraded() {
+        // Tightened candidate budget: refine only the first ids of the
+        // deduplicated ascending list. Deterministic and bounded; recall
+        // traded for latency.
+        ids.truncate(k * DEGRADED_OVERSAMPLE + DEGRADED_FLOOR);
     }
     if failpoints::fire("stall:refine") {
         budget.force_expire();
     }
-    // Boundary "quant_filter -> refine": a query that expired during the
-    // pre-filter returns its quantized survivors (approximate distances,
-    // flagged partial by the caller) rather than nothing.
+    // Boundary before scoring, where a stalled refine is cut.
     if !budget.checkpoint() {
-        if prefiltered {
-            out.truncate(k);
-        } else {
-            out.clear();
-        }
+        out.clear();
         return;
     }
     let t0 = trace.start();
@@ -199,8 +153,8 @@ mod tests {
 
     #[test]
     fn quantized_prefilter_rereanks_with_exact_distances() {
-        // Well-separated 1-d points: the SQ8 pre-filter cannot change the
-        // top-k, and the reported distances must be full-precision f32.
+        // An attached SQ8 tier must not change the top-k, and the reported
+        // distances must be full-precision f32.
         let rows: Vec<Vec<f32>> = (0..500).map(|i| vec![i as f32, -(i as f32)]).collect();
         let exact_data = Dataset::new_flat(rows.clone());
         let quant_data = Dataset::new_flat(rows).quantize();
@@ -225,9 +179,8 @@ mod tests {
         let rows: Vec<Vec<f32>> = (0..100).map(|i| vec![i as f32]).collect();
         let data = Dataset::new_flat(rows).quantize();
         let space = CountedSpace::new(L2);
-        // 10 candidates < keep = 2*4+32: the quantized kernel must not run,
-        // so each candidate costs exactly one (exact) distance — a
-        // pre-filter pass would double the tally.
+        // Each candidate costs exactly one (exact) distance, tier or no
+        // tier — a quantized pass would double the tally.
         let res = refine(&data, &space, &[5.0f32], (0..10u32).collect::<Vec<_>>(), 2);
         assert_eq!(res[0].id, 5);
         assert_eq!(space.count(), 10, "pre-filter ran on a tiny list");

@@ -43,8 +43,8 @@
 //! whose tail latency is the collapse the no-admission design showed.
 //! Between admission and collapse there is a degradation band: while the
 //! backlog sits above [`ServerConfig::degrade_at`], accepted batches are
-//! served with pressure-degraded refinement (quantized re-rank, tightened
-//! candidate budgets), trading a little accuracy for bounded latency; the
+//! served with pressure-degraded refinement (tightened candidate
+//! budgets), trading a little accuracy for bounded latency; the
 //! per-query `degraded` status bit and the engine's
 //! `permsearch_queries_degraded_total` family record the trade. Requests
 //! carrying a deadline propagate it into the engine as a per-query

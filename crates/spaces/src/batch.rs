@@ -12,16 +12,19 @@
 //!   path over a [`permsearch_core::FlatVectors`] arena. Consecutive id
 //!   runs (exhaustive scans) collapse to one `chunks_exact` pass; scattered
 //!   ids get a software prefetch of the next row. These back the
-//!   [`Space::distance_block_flat`] overrides of the dense spaces.
+//!   [`distance_block_flat`](permsearch_core::Space::distance_block_flat)
+//!   overrides of the dense spaces.
 //! * **Block kernels** (`*_block`) — score a gathered block of point
 //!   references; the fallback when points are not arena-backed. These back
-//!   the [`Space::distance_block`] overrides of the dense spaces.
+//!   the [`distance_block`](permsearch_core::Space::distance_block)
+//!   overrides of the dense spaces.
 //!
 //! **Accuracy policy:** every kernel performs, per row, exactly the same
 //! floating-point operations in exactly the same order as the scalar
-//! [`Space::distance`] of the corresponding space, so results are *bitwise
-//! identical* — not merely close. (Interleaving rows never reorders the
-//! additions *within* a row.) The `kernel_equivalence` proptest suite pins
+//! [`Space::distance`](permsearch_core::Space::distance) of the
+//! corresponding space, so results are *bitwise identical* — not merely
+//! close. (Interleaving rows never reorders the additions *within* a
+//! row.) The `kernel_equivalence` proptest suite pins
 //! this bit-for-bit, including empty rows, single-element rows, lengths that
 //! are not a multiple of the 4-lane chunk, zeros and denormals. Any future
 //! kernel that must deviate (e.g. FMA contraction) is required to document
@@ -343,13 +346,12 @@ pub fn l1_block(xs: &[&[f32]], y: &[f32], out: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Asymmetric SQ8 kernels: quantized data rows against a full-precision
+// Asymmetric SQ8 kernel: quantized data rows against a full-precision
 // query. Dequantization (`v̂ = min[d] + scale[d]·q`) is fused into the
-// accumulation — no dequantized row buffer exists. These are *approximate*
-// by design (the only kernels in this module exempt from the bitwise
-// policy): they feed filter stages whose survivors are always re-ranked
-// exactly from the f32 arena, so the approximation can demote candidates
-// but never corrupts a reported distance.
+// accumulation — no dequantized row buffer exists. It is *approximate* by
+// design (the only kernel in this module exempt from the bitwise policy).
+// No search or refine path calls it; it is kept for the benchmark's kernel
+// replay until that replay drops it.
 // ---------------------------------------------------------------------------
 
 /// Approximate Euclidean distances of the SQ8 rows named by `ids` to the
@@ -368,54 +370,6 @@ pub fn l2_quant_ids(quant: &QuantizedView, ids: &[u32], y: &[f32], out: &mut [f3
             acc += diff * diff;
         }
         *o = acc.sqrt();
-    }
-}
-
-/// Approximate cosine distances of the SQ8 rows named by `ids` to the
-/// full-precision query `y`, using the stored per-row dequantized norms.
-/// Zero-norm conventions match [`crate::dense::DenseCosine`].
-pub fn cosine_quant_ids(quant: &QuantizedView, ids: &[u32], y: &[f32], out: &mut [f32]) {
-    assert_eq!(ids.len(), out.len(), "ids/output length mismatch");
-    assert_eq!(y.len(), quant.dim(), "query dimension mismatch");
-    let mins = quant.mins();
-    let scales = quant.scales();
-    let norms = quant.norms();
-    let ny = y.iter().map(|&b| b * b).sum::<f32>().sqrt();
-    for (&id, o) in ids.iter().zip(out.iter_mut()) {
-        let row = quant.row(id);
-        let mut dot = 0.0f32;
-        for d in 0..row.len() {
-            let v = mins[d] + scales[d] * f32::from(row[d]);
-            dot += v * y[d];
-        }
-        let nx = norms[id as usize];
-        *o = if nx == 0.0 || ny == 0.0 {
-            if nx == ny {
-                0.0
-            } else {
-                1.0
-            }
-        } else {
-            (1.0 - dot / (nx * ny)).max(0.0)
-        };
-    }
-}
-
-/// Approximate dot products of the SQ8 rows named by `ids` with the
-/// full-precision query `y`.
-pub fn dot_quant_ids(quant: &QuantizedView, ids: &[u32], y: &[f32], out: &mut [f32]) {
-    assert_eq!(ids.len(), out.len(), "ids/output length mismatch");
-    assert_eq!(y.len(), quant.dim(), "query dimension mismatch");
-    let mins = quant.mins();
-    let scales = quant.scales();
-    for (&id, o) in ids.iter().zip(out.iter_mut()) {
-        let row = quant.row(id);
-        let mut acc = 0.0f32;
-        for d in 0..row.len() {
-            let v = mins[d] + scales[d] * f32::from(row[d]);
-            acc += v * y[d];
-        }
-        *o = acc;
     }
 }
 

@@ -7,7 +7,7 @@
 //! across spaces — the property the experiments depend on — are preserved
 //! either way.
 
-use permsearch_core::{FlatAccess, QuantizedView, Space};
+use permsearch_core::{FlatAccess, Space};
 
 /// A dense vector point. All vectors in one dataset must share length.
 ///
@@ -80,18 +80,6 @@ impl Space<[f32]> for L2 {
     fn distance_block_flat(&self, flat: &FlatAccess, ids: &[u32], y: &[f32], out: &mut [f32]) {
         crate::batch::l2_flat_ids(flat.data(), flat.dim(), ids, y, out)
     }
-    fn supports_quantized(&self) -> bool {
-        true
-    }
-    fn distance_block_quantized(
-        &self,
-        quant: &QuantizedView,
-        ids: &[u32],
-        y: &[f32],
-        out: &mut [f32],
-    ) {
-        crate::batch::l2_quant_ids(quant, ids, y, out)
-    }
     fn name(&self) -> &'static str {
         "L2"
     }
@@ -117,9 +105,6 @@ impl Space<[f32]> for L1 {
     fn distance_block_flat(&self, flat: &FlatAccess, ids: &[u32], y: &[f32], out: &mut [f32]) {
         crate::batch::l1_flat_ids(flat.data(), flat.dim(), ids, y, out)
     }
-    // No quantized kernel: per-dim SQ8 rounding biases |x̂ - y| upward in a
-    // way that reorders close L1 candidates far more than L2, so L1 filter
-    // stages bypass the quantized tier.
     fn name(&self) -> &'static str {
         "L1"
     }
@@ -171,18 +156,6 @@ impl Space<[f32]> for DenseCosine {
     }
     fn distance_block_flat(&self, flat: &FlatAccess, ids: &[u32], y: &[f32], out: &mut [f32]) {
         crate::batch::cosine_flat_ids(flat.data(), flat.dim(), ids, y, out)
-    }
-    fn supports_quantized(&self) -> bool {
-        true
-    }
-    fn distance_block_quantized(
-        &self,
-        quant: &QuantizedView,
-        ids: &[u32],
-        y: &[f32],
-        out: &mut [f32],
-    ) {
-        crate::batch::cosine_quant_ids(quant, ids, y, out)
     }
     fn name(&self) -> &'static str {
         "cosine-dense"

@@ -63,7 +63,7 @@ pub const MAGIC: [u8; 4] = *b"PSNP";
 ///   datasets serialize as one flat row-major `f32` block (tag 1), read
 ///   back with a handful of large sequential reads and the arena
 ///   reattached. Index payloads are unchanged. v1 files remain readable.
-/// * **v3** — dense datasets carrying the SQ8 quantized scan tier
+/// * **v3** — dense datasets carrying the SQ8 quantized tier
 ///   serialize it after the flat block (tag 2: per-dim mins and scales,
 ///   per-row dequantized norms, then the raw code bytes), and the tier is
 ///   reattached on load. Tag-0/tag-1 payloads and index payloads are
